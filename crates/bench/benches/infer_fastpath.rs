@@ -2,24 +2,17 @@
 //! through the planned, fused, batched executor versus the layer-by-layer
 //! reference path.
 //!
-//! Five measurements of the same §4 workload (tiny Milan instance,
+//! Four measurements of the same §4 workload (tiny Milan instance,
 //! 20×20 grid, window 12, stride 4 → 9 overlapping windows per frame):
 //!
-//! 1. `pre_fastpath` — layer-by-layer `predict_full` with the unit-stride
-//!    im2col/col2im fast path disabled
-//!    ([`mtsr_tensor::im2col::set_reference_kernels`]), i.e. the inference
-//!    route as it stood before this change set (same role
-//!    `sgemm_scalar_serial` plays in the GEMM bench). The layer stack's
-//!    fused bias epilogue stays on, so this baseline is *faster* than the
-//!    true pre-change path and the headline speedup is a lower bound;
-//! 2. `layerwise` — [`MtsrPipeline::predict_full`] with current kernels,
-//!    one `Layer::forward` per window with per-layer output allocations
-//!    and separate BN / activation sweeps;
-//! 3. `fused_exact` — the planned executor with the BN constants riding
+//! 1. `layerwise` — [`MtsrPipeline::predict_full`], one `Layer::forward`
+//!    per window with per-layer output allocations and separate BN /
+//!    activation sweeps;
+//! 2. `fused_exact` — the planned executor with the BN constants riding
 //!    the GEMM epilogue (bit-identical outputs);
-//! 4. `fused_folded` — BN folded into the weights at plan time (the
+//! 3. `fused_folded` — BN folded into the weights at plan time (the
 //!    production default);
-//! 5. `quantized` — folded, then conv weights quantized to per-channel
+//! 4. `quantized` — folded, then conv weights quantized to per-channel
 //!    int8 with integer-accumulating GEMMs (`FusePolicy::Quantized`).
 //!
 //! The headline is full-grid **snapshots/sec** (from the per-route
@@ -96,12 +89,7 @@ struct Entry {
     snapshots_per_sec: f64,
 }
 
-fn write_json(
-    entries: &[Entry],
-    speedup_pre_pr: f64,
-    speedup_layerwise: f64,
-    speedup_quantized: f64,
-) {
+fn write_json(entries: &[Entry], speedup_layerwise: f64, speedup_quantized: f64) {
     // crates/bench → repo root.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut s = String::new();
@@ -111,7 +99,6 @@ fn write_json(
         s,
         r#"  "workload": "tiny Milan up4, 20x20 grid, window 12, stride 4, 9 windows/frame","#
     );
-    let _ = writeln!(s, r#"  "speedup_fused_vs_pre_pr": {speedup_pre_pr:.3},"#);
     let _ = writeln!(
         s,
         r#"  "speedup_folded_vs_layerwise": {speedup_layerwise:.3},"#
@@ -220,14 +207,6 @@ fn main() {
     mtsr_telemetry::set_enabled(true);
     mtsr_telemetry::reset();
 
-    // Pre-change baseline: same layer stack, but with the unit-stride
-    // gather/scatter loops forced back to the original per-element form.
-    mtsr_tensor::im2col::set_reference_kernels(true);
-    let pre_pr = bench(budget, || {
-        pipe.predict_full(&mut net, &ds, t).unwrap();
-    });
-    mtsr_tensor::im2col::set_reference_kernels(false);
-
     let layer = bench(budget, || {
         pipe.predict_full(&mut net, &ds, t).unwrap();
     });
@@ -252,7 +231,6 @@ fn main() {
     });
 
     let entries: Vec<Entry> = [
-        ("pre_fastpath.full_grid", pre_pr),
         ("layerwise.full_grid", layer),
         ("fused_exact.full_grid", exact_t),
         ("fused_folded.full_grid", folded_t),
@@ -266,7 +244,6 @@ fn main() {
         snapshots_per_sec: 1e9 / min_ns as f64,
     })
     .collect();
-    let speedup_pre_pr = pre_pr.0 as f64 / folded_t.0 as f64;
     let speedup_layerwise = layer.0 as f64 / folded_t.0 as f64;
     let speedup_quantized = folded_t.0 as f64 / quantized_t.0 as f64;
     for e in &entries {
@@ -278,16 +255,10 @@ fn main() {
             e.snapshots_per_sec
         );
     }
-    println!("fused-folded speedup over pre-fast-path route: {speedup_pre_pr:.2}x");
     println!("fused-folded speedup over current layer-by-layer: {speedup_layerwise:.2}x");
     println!("quantized speedup over fused-folded: {speedup_quantized:.2}x");
     report_phase_spans();
-    write_json(
-        &entries,
-        speedup_pre_pr,
-        speedup_layerwise,
-        speedup_quantized,
-    );
+    write_json(&entries, speedup_layerwise, speedup_quantized);
 
     if folded_t.0 > layer.0 {
         eprintln!(

@@ -10,10 +10,7 @@
 //!    training loop uses);
 //! 2. machine-readable `BENCH_GEMM.json` / `BENCH_CONV.json` written to
 //!    the repository root, recording per-shape **median** latency and
-//!    GFLOP/s so the perf trajectory is tracked across PRs. The GEMM file
-//!    measures the packed kernel against the pre-PR scalar kernel
-//!    (`sgemm_scalar_serial`, kept for exactly this purpose) in the same
-//!    process, so the reported speedup is apples-to-apples.
+//!    GFLOP/s so the perf trajectory is tracked across PRs.
 //!
 //! Budget per case is `MTSR_BENCH_MS` milliseconds (default 2000); medians
 //! over per-iteration samples make the numbers robust to the noisy shared
@@ -23,7 +20,7 @@ use mtsr_tensor::conv::{
     conv2d_backward_weights, conv2d_forward, conv3d_forward, conv_transpose3d_forward, Conv2dSpec,
     Conv3dSpec,
 };
-use mtsr_tensor::matmul::{matmul, sgemm_scalar_serial, sgemm_serial};
+use mtsr_tensor::matmul::{matmul, sgemm_serial};
 use mtsr_tensor::{Rng, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -138,10 +135,10 @@ fn write_json(file: &str, schema: &str, entries: &[Entry]) {
     }
 }
 
-/// GEMM sweep: packed kernel vs the pre-PR scalar baseline on the shapes
-/// that matter — square sanity points plus the im2col lowering of a
-/// `Conv2dSpec::same(3)`, 16-channel layer on the paper's 80×80 Milan
-/// grid: m = co = 16, k = ci·kh·kw = 144, n = oh·ow = 6400.
+/// GEMM sweep of the packed kernel on the shapes that matter — square
+/// sanity points plus the im2col lowering of a `Conv2dSpec::same(3)`,
+/// 16-channel layer on the paper's 80×80 Milan grid: m = co = 16,
+/// k = ci·kh·kw = 144, n = oh·ow = 6400.
 fn bench_gemm_json(budget: Duration) -> Vec<Entry> {
     let shapes: &[(usize, usize, usize, &str)] = &[
         (16, 144, 6400, "conv3x3_16ch_80x80_lowering"),
@@ -156,20 +153,6 @@ fn bench_gemm_json(budget: Duration) -> Vec<Entry> {
         let b: Vec<f32> = (0..k * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut c = vec![0.0f32; m * n];
         let flops = 2.0 * (m * k * n) as f64;
-        // Interleave would be ideal, but per-kernel medians over a full
-        // budget each are stable enough; scalar first so thermal drift,
-        // if any, favors the *baseline*.
-        let scalar_ns = bench(&format!("sgemm_scalar.{tag}"), budget, || {
-            sgemm_scalar_serial(
-                std::hint::black_box(&a),
-                std::hint::black_box(&b),
-                &mut c,
-                m,
-                k,
-                n,
-                false,
-            );
-        });
         let packed_ns = bench(&format!("sgemm_packed.{tag}"), budget, || {
             sgemm_serial(
                 std::hint::black_box(&a),
@@ -181,25 +164,13 @@ fn bench_gemm_json(budget: Duration) -> Vec<Entry> {
                 false,
             );
         });
-        let shape = format!("{m}x{k}x{n}");
-        entries.push(Entry {
-            name: format!("scalar.{tag}"),
-            shape: shape.clone(),
-            median_ns: scalar_ns,
-            gflops: flops / scalar_ns as f64,
-        });
         entries.push(Entry {
             name: format!("packed.{tag}"),
-            shape,
+            shape: format!("{m}x{k}x{n}"),
             median_ns: packed_ns,
             gflops: flops / packed_ns as f64,
         });
-        println!(
-            "gemm {tag}: scalar {:.2} GFLOP/s, packed {:.2} GFLOP/s ({:.2}x)",
-            flops / scalar_ns as f64,
-            flops / packed_ns as f64,
-            scalar_ns as f64 / packed_ns as f64
-        );
+        println!("gemm {tag}: packed {:.2} GFLOP/s", flops / packed_ns as f64);
     }
     entries
 }
@@ -230,7 +201,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
     let spec = Conv2dSpec::same(3);
     let fl80 = conv2d_flops(1, 16, 16, 3, 3, 80, 80);
     let ns = bench("conv2d_16ch_80x80_b1.forward", budget, || {
-        conv2d_forward(std::hint::black_box(&x80), &w80, &spec).unwrap();
+        conv2d_forward(std::hint::black_box(&x80), &w80, &spec, None).unwrap();
     });
     entries.push(Entry {
         name: "conv2d_forward.16ch_3x3_80x80_b1".into(),
@@ -238,7 +209,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
         median_ns: ns,
         gflops: fl80 / ns as f64,
     });
-    let g80 = conv2d_forward(&x80, &w80, &spec).unwrap();
+    let g80 = conv2d_forward(&x80, &w80, &spec, None).unwrap();
     let ns = bench("conv2d_16ch_80x80_b1.backward_weights", budget, || {
         conv2d_backward_weights(&x80, std::hint::black_box(&g80), &spec, (3, 3)).unwrap();
     });
@@ -254,7 +225,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
     let w = Tensor::rand_normal([16, 16, 3, 3], 0.0, 0.2, &mut rng);
     let fl40 = conv2d_flops(4, 16, 16, 3, 3, 40, 40);
     let ns = bench("conv2d_16ch_40x40_b4.forward", budget, || {
-        conv2d_forward(std::hint::black_box(&x), &w, &spec).unwrap();
+        conv2d_forward(std::hint::black_box(&x), &w, &spec, None).unwrap();
     });
     entries.push(Entry {
         name: "conv2d_forward.16ch_3x3_40x40_b4".into(),
@@ -262,7 +233,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
         median_ns: ns,
         gflops: fl40 / ns as f64,
     });
-    let gout = conv2d_forward(&x, &w, &spec).unwrap();
+    let gout = conv2d_forward(&x, &w, &spec, None).unwrap();
     let ns = bench("conv2d_16ch_40x40_b4.backward_weights", budget, || {
         conv2d_backward_weights(&x, std::hint::black_box(&gout), &spec, (3, 3)).unwrap();
     });
@@ -279,7 +250,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
     let spec3 = Conv3dSpec::same(3, 3);
     let fl3 = 2.0 * (2 * 8 * 8 * 3 * 3 * 3 * 3 * 20 * 20) as f64;
     let ns = bench("conv3d_8ch_3x20x20_b2.forward", budget, || {
-        conv3d_forward(std::hint::black_box(&x3), &w3, &spec3).unwrap();
+        conv3d_forward(std::hint::black_box(&x3), &w3, &spec3, None).unwrap();
     });
     entries.push(Entry {
         name: "conv3d_forward.8ch_3x3x3_3x20x20_b2".into(),
@@ -294,7 +265,7 @@ fn bench_conv_json(budget: Duration) -> Vec<Entry> {
     };
     let fld = 2.0 * (2 * 8 * 8 * 3 * 2 * 2 * 3 * 40 * 40) as f64;
     let ns = bench("conv3d_8ch_3x20x20_b2.deconv_2x_forward", budget, || {
-        conv_transpose3d_forward(std::hint::black_box(&x3), &wd, &dspec).unwrap();
+        conv_transpose3d_forward(std::hint::black_box(&x3), &wd, &dspec, None).unwrap();
     });
     entries.push(Entry {
         name: "conv_transpose3d_forward.8ch_2x_3x20x20_b2".into(),

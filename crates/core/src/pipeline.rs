@@ -503,13 +503,15 @@ impl InferSession {
     ///
     /// [`predict_full`]: InferSession::predict_full
     pub fn predict_frame(&mut self, coarse: &[f32], sq: usize) -> Result<Tensor> {
-        if sq < self.cw || coarse.len() != self.s * sq * sq {
+        // Origins and reassembly divisors are fixed for one grid, so the
+        // frame side must be exactly the planned one.
+        let planned_sq = self.plan.grid() / self.n;
+        if sq != planned_sq || coarse.len() != self.s * sq * sq {
             return Err(TensorError::InvalidShape {
                 op: "InferSession::predict_frame",
                 reason: format!(
-                    "session planned for S={} cw={}, got {} values for sq={sq}",
+                    "session planned for S={} sq={planned_sq}, got {} values for sq={sq}",
                     self.s,
-                    self.cw,
                     coarse.len()
                 ),
             });
@@ -654,6 +656,23 @@ mod tests {
             .unwrap();
         assert_eq!(out.dims(), &[20, 20]);
         assert!(out.is_finite());
+    }
+
+    /// A frame side other than the planned grid's is rejected, not
+    /// silently cropped (too large) or panicking (too small).
+    #[test]
+    fn predict_frame_rejects_unplanned_frame_side() {
+        let ds = tiny_dataset(12);
+        let mut gen = ZipNet::new(&ZipNetConfig::tiny(4, ds.s()), &mut Rng::seed_from(13)).unwrap();
+        let mut session = MtsrPipeline::new(12, 4)
+            .session(&mut gen, &ds, FusePolicy::Exact, 2)
+            .unwrap();
+        let s = ds.s();
+        assert!(session.predict_frame(&vec![0.5; s * 25], 5).is_ok());
+        for sq in [6, 4] {
+            let err = session.predict_frame(&vec![0.5; s * sq * sq], sq);
+            assert!(err.is_err(), "sq={sq} must be rejected");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mtsr_traffic::{
 };
 use zipnet_core::{
     plan_discriminator, plan_zipnet, ArchScale, Discriminator, DiscriminatorConfig, FusePolicy,
-    GanTrainingConfig, MtsrModel, MtsrPipeline, ZipNet, ZipNetConfig,
+    GanTrainingConfig, InferExec, MtsrModel, MtsrPipeline, ZipNet, ZipNetConfig,
 };
 
 /// A ZipNet with non-trivial BN running statistics.
@@ -51,11 +51,22 @@ fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
         .fold(0.0, f32::max)
 }
 
+/// Runs `exec` on `x` at 1 / 2 / all worker threads and asserts every
+/// output equals `y_ref` bit for bit.
+fn assert_exact_across_workers(exec: &mut InferExec, x: &Tensor, y_ref: &Tensor, what: &str) {
+    for workers in [1usize, 2, 0] {
+        set_num_threads(workers);
+        let y = exec.run(x).unwrap();
+        assert_eq!(y.as_slice(), y_ref.as_slice(), "{what}, workers {workers}");
+    }
+}
+
 /// Satellite (c): fused-vs-layer-by-layer bit-exactness for ZipNet at all
-/// three paper upscaling configurations and for the discriminator, swept
-/// over 1 / 2 / all worker threads. One test so the global thread
-/// override is set and restored in a single place; GEMM results are
-/// partition-invariant, so concurrently running tests stay correct.
+/// three paper upscaling configurations, at the paper's own depth, and
+/// for the discriminator, swept over 1 / 2 / all worker threads. One
+/// test so the global thread override is set and restored in a single
+/// place; GEMM results are partition-invariant, so concurrently running
+/// tests stay correct.
 #[test]
 fn exact_plans_bit_identical_across_configs_and_workers() {
     struct Restore;
@@ -74,29 +85,30 @@ fn exact_plans_bit_identical_across_configs_and_workers() {
         let x = Tensor::rand_normal([2, 1, 2, h, h], 0.0, 1.0, &mut rng);
         let y_ref = net.forward(&x, false).unwrap();
         let mut exec = plan_zipnet(&mut net, FusePolicy::Exact, 2, h, h).unwrap();
-        for workers in [1usize, 2, 0] {
-            set_num_threads(workers);
-            let y = exec.run(&x).unwrap();
-            assert_eq!(
-                y.as_slice(),
-                y_ref.as_slice(),
-                "upscale {upscale}, workers {workers}"
-            );
-        }
+        assert_exact_across_workers(&mut exec, &x, &y_ref, &format!("upscale {upscale}"));
     }
+
+    // The paper's depth: 32 channels and 24 zipper modules with the
+    // staggered skip wiring of §3.2, S = 6, on a 4×4 coarse crop. The
+    // Folded plan must stay within f32 round-off of the layer stack.
+    let cfg = ZipNetConfig::paper(4, 6);
+    let mut net = warmed_zipnet(&cfg, 144, 4);
+    let x = Tensor::rand_normal([1, 1, 6, 4, 4], 0.0, 1.0, &mut Rng::seed_from(145));
+    let y_ref = net.forward(&x, false).unwrap();
+    let mut exec = plan_zipnet(&mut net, FusePolicy::Exact, 1, 4, 4).unwrap();
+    assert_exact_across_workers(&mut exec, &x, &y_ref, "paper preset");
+    let folded = plan_zipnet(&mut net, FusePolicy::Folded, 1, 4, 4)
+        .unwrap()
+        .run(&x)
+        .unwrap();
+    let diff = max_abs_diff(&folded, &y_ref);
+    assert!(diff < 1e-3, "paper preset: folded drifted by {diff}");
 
     let mut disc = warmed_discriminator(43, 12);
     let x = Tensor::rand_normal([3, 1, 12, 12], 0.0, 1.0, &mut rng);
     let y_ref = disc.forward(&x, false).unwrap();
     let mut exec = plan_discriminator(&mut disc, FusePolicy::Exact, 3, 12, 12).unwrap();
-    for workers in [1usize, 2, 0] {
-        set_num_threads(workers);
-        assert_eq!(
-            exec.run(&x).unwrap().as_slice(),
-            y_ref.as_slice(),
-            "discriminator, workers {workers}"
-        );
-    }
+    assert_exact_across_workers(&mut exec, &x, &y_ref, "discriminator");
 }
 
 /// Batched executor runs are bit-identical to one-crop-at-a-time runs.

@@ -11,11 +11,10 @@ use crate::init::{conv_fan_in, he_normal};
 use crate::layer::Layer;
 use crate::param::Param;
 use mtsr_tensor::conv::{
-    conv2d_backward_data, conv2d_backward_weights, conv2d_forward_fused, conv3d_backward_data,
-    conv3d_backward_weights, conv3d_forward_fused, conv_transpose2d_backward_data,
-    conv_transpose2d_backward_weights, conv_transpose2d_forward_fused,
-    conv_transpose3d_backward_data, conv_transpose3d_backward_weights,
-    conv_transpose3d_forward_fused, Conv2dSpec, Conv3dSpec,
+    conv2d_backward_data, conv2d_backward_weights, conv2d_forward, conv3d_backward_data,
+    conv3d_backward_weights, conv3d_forward, conv_transpose2d_backward_data,
+    conv_transpose2d_backward_weights, conv_transpose2d_forward, conv_transpose3d_backward_data,
+    conv_transpose3d_backward_weights, conv_transpose3d_forward, Conv2dSpec, Conv3dSpec,
 };
 use mtsr_tensor::matmul::Epilogue;
 use mtsr_tensor::{Result, Rng, Tensor, TensorError};
@@ -72,7 +71,7 @@ impl Layer for Conv2d {
         // Bias rides the fused GEMM epilogue: bit-identical to a separate
         // per-channel sweep, one fewer pass over the output.
         let ep = Epilogue::new(self.b.value.as_slice());
-        let y = conv2d_forward_fused(x, &self.w.value, &self.spec, Some(&ep))?;
+        let y = conv2d_forward(x, &self.w.value, &self.spec, Some(&ep))?;
         self.cached_x = Some(x.clone());
         Ok(y)
     }
@@ -136,7 +135,7 @@ impl ConvTranspose2d {
 impl Layer for ConvTranspose2d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Result<Tensor> {
         let ep = Epilogue::new(self.b.value.as_slice());
-        let y = conv_transpose2d_forward_fused(x, &self.w.value, &self.spec, Some(&ep))?;
+        let y = conv_transpose2d_forward(x, &self.w.value, &self.spec, Some(&ep))?;
         self.cached_x = Some(x.clone());
         Ok(y)
     }
@@ -198,7 +197,7 @@ impl Conv3d {
 impl Layer for Conv3d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Result<Tensor> {
         let ep = Epilogue::new(self.b.value.as_slice());
-        let y = conv3d_forward_fused(x, &self.w.value, &self.spec, Some(&ep))?;
+        let y = conv3d_forward(x, &self.w.value, &self.spec, Some(&ep))?;
         self.cached_x = Some(x.clone());
         Ok(y)
     }
@@ -262,7 +261,7 @@ impl ConvTranspose3d {
 impl Layer for ConvTranspose3d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Result<Tensor> {
         let ep = Epilogue::new(self.b.value.as_slice());
-        let y = conv_transpose3d_forward_fused(x, &self.w.value, &self.spec, Some(&ep))?;
+        let y = conv_transpose3d_forward(x, &self.w.value, &self.spec, Some(&ep))?;
         self.cached_x = Some(x.clone());
         Ok(y)
     }

@@ -298,11 +298,14 @@ impl RemotePredictor {
     /// [`InferSession::predict_frame`]: zipnet_core::pipeline::InferSession::predict_frame
     pub fn predict_frame(&mut self, coarse: &[f32], sq: usize) -> io::Result<Tensor> {
         let (s, cw) = (self.info.s as usize, self.info.h as usize);
-        if coarse.len() != s * sq * sq || sq < cw {
+        // Origins and reassembly divisors are fixed for one grid.
+        let planned_sq = self.plan.grid() / self.probe;
+        if coarse.len() != s * sq * sq || sq != planned_sq {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "coarse stack of {} values does not match [S={s}, sq={sq}] (cw={cw})",
+                    "coarse stack of {} values does not match [S={s}, sq={sq}] \
+                     (planned sq={planned_sq})",
                     coarse.len()
                 ),
             ));

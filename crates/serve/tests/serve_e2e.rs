@@ -102,6 +102,43 @@ fn served_frame_is_bit_identical_to_local_session() {
     handle.join();
 }
 
+/// A coarse frame whose side differs from the geometry the predictor
+/// was built for is rejected as invalid input, never cropped or sliced
+/// out of range.
+#[test]
+fn remote_predict_frame_rejects_unplanned_frame_side() {
+    let ds = tiny_dataset(5);
+    let mut gen = ZipNet::new(&ZipNetConfig::tiny(4, ds.s()), &mut Rng::seed_from(9)).unwrap();
+    let session = MtsrPipeline::new(12, 4)
+        .session(&mut gen, &ds, FusePolicy::Exact, 1)
+        .unwrap();
+    let exec = plan_zipnet(&mut gen, FusePolicy::Exact, 1, 3, 3).unwrap();
+    let handle = Server::start_single(&ServeConfig::default(), exec).unwrap();
+    let client = ServeClient::connect(handle.local_addr()).unwrap();
+    let grid = ds.layout().grid;
+    let mut remote = RemotePredictor::new(
+        client,
+        session.origins().to_vec(),
+        session.window(),
+        grid,
+        session.probe(),
+    )
+    .unwrap();
+    let s = ds.s();
+    for sq in [6, 4] {
+        let err = remote
+            .predict_frame(&vec![0.5; s * sq * sq], sq)
+            .expect_err("unplanned frame side must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "sq={sq}");
+    }
+    let sq = grid / session.probe();
+    assert!(remote.predict_frame(&vec![0.5; s * sq * sq], sq).is_ok());
+
+    let mut client = remote.into_client();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// A burst beyond queue capacity is shed with immediate `BUSY` replies
 /// while every admitted request is still served — nothing is dropped
 /// silently and nothing buffers without bound.

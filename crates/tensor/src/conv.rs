@@ -128,15 +128,10 @@ fn geom2d(x_dims: &[usize], w_dims: &[usize], spec: &Conv2dSpec) -> Result<Geom2
     Ok(g)
 }
 
-/// 2D convolution forward: `[N,Ci,H,W] ⊛ [Co,Ci,KH,KW] → [N,Co,OH,OW]`.
-pub fn conv2d_forward(x: &Tensor, w: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    conv2d_forward_fused(x, w, spec, None)
-}
-
-/// [`conv2d_forward`] with an optional bias/BN/LReLU [`Epilogue`] fused
-/// into the per-sample GEMM's store phase (row = output channel). With
-/// `ep = None` this *is* the plain forward.
-pub fn conv2d_forward_fused(
+/// 2D convolution forward: `[N,Ci,H,W] ⊛ [Co,Ci,KH,KW] → [N,Co,OH,OW]`,
+/// with an optional bias/BN/LReLU [`Epilogue`] fused into the per-sample
+/// GEMM's store phase (row = output channel).
+pub fn conv2d_forward(
     x: &Tensor,
     w: &Tensor,
     spec: &Conv2dSpec,
@@ -157,7 +152,7 @@ pub fn conv2d_forward_fused(
     Ok(out)
 }
 
-/// Slice-based [`conv2d_forward_fused`] writing into a caller-owned
+/// Slice-based [`conv2d_forward`] writing into a caller-owned
 /// buffer: the allocation-free entry point the planned inference executor
 /// drives arena slots through. `out` must hold exactly
 /// `N · Co · OH · OW` elements.
@@ -404,15 +399,10 @@ pub fn deconv2d_out_hw(
 }
 
 /// Transposed 2D convolution forward:
-/// `[N,Ci,H,W] ⊛ᵀ [Ci,Co,KH,KW] → [N,Co,OH,OW]`.
-pub fn conv_transpose2d_forward(x: &Tensor, w: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    conv_transpose2d_forward_fused(x, w, spec, None)
-}
-
-/// [`conv_transpose2d_forward`] with an optional fused [`Epilogue`]
-/// (swept per sample after the col2im scatter-add; see
+/// `[N,Ci,H,W] ⊛ᵀ [Ci,Co,KH,KW] → [N,Co,OH,OW]`, with an optional fused
+/// [`Epilogue`] (swept per sample after the col2im scatter-add; see
 /// [`conv2d_backward_data_into`]).
-pub fn conv_transpose2d_forward_fused(
+pub fn conv_transpose2d_forward(
     x: &Tensor,
     w: &Tensor,
     spec: &Conv2dSpec,
@@ -444,7 +434,7 @@ pub fn conv_transpose2d_forward_fused(
     Ok(out)
 }
 
-/// Slice-based [`conv_transpose2d_forward_fused`] writing into a
+/// Slice-based [`conv_transpose2d_forward`] writing into a
 /// caller-owned buffer of `N · Co · OH · OW` elements.
 pub fn conv_transpose2d_forward_into(
     x: &[f32],
@@ -476,7 +466,7 @@ pub fn conv_transpose2d_backward_data(
     w: &Tensor,
     spec: &Conv2dSpec,
 ) -> Result<Tensor> {
-    conv2d_forward(gout, w, spec)
+    conv2d_forward(gout, w, spec, None)
 }
 
 /// Transposed 2D convolution backward-weights.
@@ -526,14 +516,10 @@ fn geom3d(x_dims: &[usize], w_dims: &[usize], spec: &Conv3dSpec) -> Result<Geom3
     Ok(g)
 }
 
-/// 3D convolution forward: `[N,Ci,D,H,W] ⊛ [Co,Ci,KD,KH,KW] → [N,Co,OD,OH,OW]`.
-pub fn conv3d_forward(x: &Tensor, w: &Tensor, spec: &Conv3dSpec) -> Result<Tensor> {
-    conv3d_forward_fused(x, w, spec, None)
-}
-
-/// [`conv3d_forward`] with an optional [`Epilogue`] fused into the
+/// 3D convolution forward: `[N,Ci,D,H,W] ⊛ [Co,Ci,KD,KH,KW] →
+/// [N,Co,OD,OH,OW]`, with an optional [`Epilogue`] fused into the
 /// per-sample GEMM's store phase (row = output channel).
-pub fn conv3d_forward_fused(
+pub fn conv3d_forward(
     x: &Tensor,
     w: &Tensor,
     spec: &Conv3dSpec,
@@ -554,7 +540,7 @@ pub fn conv3d_forward_fused(
     Ok(out)
 }
 
-/// Slice-based [`conv3d_forward_fused`] writing into a caller-owned
+/// Slice-based [`conv3d_forward`] writing into a caller-owned
 /// buffer of `N · Co · OD · OH · OW` elements.
 pub fn conv3d_forward_into(
     x: &[f32],
@@ -599,20 +585,31 @@ pub fn conv3d_forward_into(
         && (0..g.out_d()).all(|oz| {
             let (lo, hi) = tap_range3d(&g, oz);
             hi > lo && !crate::matmul::is_small(co, g.c * (hi - lo) * g.kh * g.kw, ohw)
-        })
-        && !crate::im2col::reference_kernels();
+        });
     par_chunks_mut(out, out_sz, |ni, o| {
         let xs = &x[ni * in_sz..(ni + 1) * in_sz];
         if per_oz {
             conv3d_sample_per_oz(xs, w, &g, co, o, ep);
         } else {
-            with_im2col3d(xs, &g, |cols| match ep {
-                Some(e) => sgemm_serial_fused(w, cols, o, co, g.col_rows(), g.col_cols(), e),
-                None => sgemm_serial(w, cols, o, co, g.col_rows(), g.col_cols(), false),
-            });
+            conv3d_sample_full(xs, w, &g, co, o, ep);
         }
     });
     Ok(())
+}
+
+/// One conv3d sample as a single GEMM over the full im2col lowering.
+fn conv3d_sample_full(
+    xs: &[f32],
+    w: &[f32],
+    g: &Geom3d,
+    co: usize,
+    o: &mut [f32],
+    ep: Option<&Epilogue<'_>>,
+) {
+    with_im2col3d(xs, g, |cols| match ep {
+        Some(e) => sgemm_serial_fused(w, cols, o, co, g.col_rows(), g.col_cols(), e),
+        None => sgemm_serial(w, cols, o, co, g.col_rows(), g.col_cols(), false),
+    });
 }
 
 /// Quantized-weight variant of [`conv3d_forward_into`]; see
@@ -947,16 +944,11 @@ pub fn deconv3d_out_dhw(
 }
 
 /// Transposed 3D convolution forward:
-/// `[N,Ci,D,H,W] ⊛ᵀ [Ci,Co,KD,KH,KW] → [N,Co,OD,OH,OW]`.
+/// `[N,Ci,D,H,W] ⊛ᵀ [Ci,Co,KD,KH,KW] → [N,Co,OD,OH,OW]`, with an optional
+/// fused [`Epilogue`] (swept per sample after the col2im scatter-add).
 ///
 /// This is the upsampling operation of ZipNet's 3D upscaling blocks.
-pub fn conv_transpose3d_forward(x: &Tensor, w: &Tensor, spec: &Conv3dSpec) -> Result<Tensor> {
-    conv_transpose3d_forward_fused(x, w, spec, None)
-}
-
-/// [`conv_transpose3d_forward`] with an optional fused [`Epilogue`]
-/// (swept per sample after the col2im scatter-add).
-pub fn conv_transpose3d_forward_fused(
+pub fn conv_transpose3d_forward(
     x: &Tensor,
     w: &Tensor,
     spec: &Conv3dSpec,
@@ -992,7 +984,7 @@ pub fn conv_transpose3d_forward_fused(
     Ok(out)
 }
 
-/// Slice-based [`conv_transpose3d_forward_fused`] writing into a
+/// Slice-based [`conv_transpose3d_forward`] writing into a
 /// caller-owned buffer of `N · Co · OD · OH · OW` elements.
 pub fn conv_transpose3d_forward_into(
     x: &[f32],
@@ -1025,7 +1017,7 @@ pub fn conv_transpose3d_backward_data(
     w: &Tensor,
     spec: &Conv3dSpec,
 ) -> Result<Tensor> {
-    conv3d_forward(gout, w, spec)
+    conv3d_forward(gout, w, spec, None)
 }
 
 /// Transposed 3D convolution backward-weights.
@@ -1093,7 +1085,7 @@ mod tests {
             let x = Tensor::rand_normal([2, 3, 8, 9], 0.0, 1.0, &mut rng);
             let w = Tensor::rand_normal([4, 3, k, k], 0.0, 0.5, &mut rng);
             let spec = Conv2dSpec::new(s, p);
-            let fast = conv2d_forward(&x, &w, &spec).unwrap();
+            let fast = conv2d_forward(&x, &w, &spec, None).unwrap();
             let slow = conv2d_naive(&x, &w, &spec);
             assert_close(&fast, &slow, 1e-3, &format!("s={s} p={p} k={k}"));
         }
@@ -1106,9 +1098,9 @@ mod tests {
         let spec = Conv2dSpec::new(2, 1);
         let x = Tensor::rand_normal([2, 3, 7, 7], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([5, 3, 3, 3], 0.0, 0.5, &mut rng);
-        let y_shape_probe = conv2d_forward(&x, &w, &spec).unwrap();
+        let y_shape_probe = conv2d_forward(&x, &w, &spec, None).unwrap();
         let y = Tensor::rand_normal(y_shape_probe.dims().to_vec(), 0.0, 1.0, &mut rng);
-        let lhs: f64 = conv2d_forward(&x, &w, &spec)
+        let lhs: f64 = conv2d_forward(&x, &w, &spec, None)
             .unwrap()
             .as_slice()
             .iter()
@@ -1133,16 +1125,16 @@ mod tests {
         let x = Tensor::rand_normal([1, 2, 4, 4], 0.0, 1.0, &mut rng);
         let mut w = Tensor::rand_normal([2, 2, 3, 3], 0.0, 0.5, &mut rng);
         // Loss = sum(conv(x, w)); dL/dout = ones.
-        let out = conv2d_forward(&x, &w, &spec).unwrap();
+        let out = conv2d_forward(&x, &w, &spec, None).unwrap();
         let gout = Tensor::ones(out.dims().to_vec());
         let dw = conv2d_backward_weights(&x, &gout, &spec, (3, 3)).unwrap();
         let eps = 1e-2f32;
         for &idx in &[0usize, 7, 17, 35] {
             let orig = w.as_slice()[idx];
             w.as_mut_slice()[idx] = orig + eps;
-            let lp = conv2d_forward(&x, &w, &spec).unwrap().sum();
+            let lp = conv2d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig - eps;
-            let lm = conv2d_forward(&x, &w, &spec).unwrap().sum();
+            let lm = conv2d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             let ana = dw.as_slice()[idx];
@@ -1161,7 +1153,7 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let x = Tensor::rand_normal([1, 3, 5, 5], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([3, 4, 2, 2], 0.0, 0.5, &mut rng);
-        let y = conv_transpose2d_forward(&x, &w, &spec).unwrap();
+        let y = conv_transpose2d_forward(&x, &w, &spec, None).unwrap();
         assert_eq!(y.dims(), &[1, 4, 10, 10]);
     }
 
@@ -1172,7 +1164,7 @@ mod tests {
         let spec = Conv2dSpec::new(2, 1);
         let w = Tensor::rand_normal([3, 4, 3, 3], 0.0, 0.5, &mut rng); // [Ci_d=3, Co_d=4]
         let x = Tensor::rand_normal([2, 3, 5, 5], 0.0, 1.0, &mut rng);
-        let y = conv_transpose2d_forward(&x, &w, &spec).unwrap();
+        let y = conv_transpose2d_forward(&x, &w, &spec, None).unwrap();
         let z = Tensor::rand_normal(y.dims().to_vec(), 0.0, 1.0, &mut rng);
         let lhs: f64 = y
             .as_slice()
@@ -1181,7 +1173,7 @@ mod tests {
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
         // adjoint of deconv = conv with the same weight
-        let back = conv2d_forward(&z, &w, &spec).unwrap();
+        let back = conv2d_forward(&z, &w, &spec, None).unwrap();
         let rhs: f64 = back
             .as_slice()
             .iter()
@@ -1197,7 +1189,7 @@ mod tests {
         let spec = Conv2dSpec::new(2, 0);
         let x = Tensor::rand_normal([1, 2, 3, 3], 0.0, 1.0, &mut rng);
         let mut w = Tensor::rand_normal([2, 3, 2, 2], 0.0, 0.5, &mut rng);
-        let out = conv_transpose2d_forward(&x, &w, &spec).unwrap();
+        let out = conv_transpose2d_forward(&x, &w, &spec, None).unwrap();
         let gout = Tensor::ones(out.dims().to_vec());
         let dw = conv_transpose2d_backward_weights(&x, &gout, &spec, (2, 2)).unwrap();
         assert_eq!(dw.dims(), w.dims());
@@ -1205,9 +1197,9 @@ mod tests {
         for &idx in &[0usize, 5, 11, 23] {
             let orig = w.as_slice()[idx];
             w.as_mut_slice()[idx] = orig + eps;
-            let lp = conv_transpose2d_forward(&x, &w, &spec).unwrap().sum();
+            let lp = conv_transpose2d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig - eps;
-            let lm = conv_transpose2d_forward(&x, &w, &spec).unwrap().sum();
+            let lm = conv_transpose2d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             let ana = dw.as_slice()[idx];
@@ -1222,8 +1214,7 @@ mod tests {
     /// taps skipped, one narrow GEMM per `oz`) must be bit-identical to
     /// the full im2col lowering, plain and with a fused epilogue. The
     /// geometry makes every per-oz GEMM large enough to take the packed
-    /// kernel, so the route actually activates (see the gating in
-    /// [`conv3d_forward_into`]).
+    /// kernel, so [`conv3d_forward_into`] takes the per-oz route.
     #[test]
     fn conv3d_per_oz_route_matches_full_lowering_bitwise() {
         let mut rng = Rng::seed_from(11);
@@ -1231,17 +1222,24 @@ mod tests {
         let w = Tensor::rand_normal([4, 3, 3, 3, 3], 0.0, 0.5, &mut rng);
         let bias: Vec<f32> = (0..4).map(|i| 0.1 * i as f32 - 0.15).collect();
         let spec = Conv3dSpec::same(3, 3);
+        let g = geom3d(x.dims(), w.dims(), &spec).unwrap();
+        let (in_sz, out_sz) = (x.numel() / 2, 4 * 3 * 6 * 7);
         for ep in [None, Some(Epilogue::new(&bias).leaky(0.2))] {
-            let fast = conv3d_forward_fused(&x, &w, &spec, ep.as_ref()).unwrap();
-            crate::im2col::set_reference_kernels(true);
-            let reference = conv3d_forward_fused(&x, &w, &spec, ep.as_ref()).unwrap();
-            crate::im2col::set_reference_kernels(false);
-            assert_eq!(
-                fast.as_slice(),
-                reference.as_slice(),
-                "per-oz conv3d diverges from the full lowering (ep: {})",
-                ep.is_some()
-            );
+            let forward = conv3d_forward(&x, &w, &spec, ep.as_ref()).unwrap();
+            for (ni, o) in forward.as_slice().chunks_exact(out_sz).enumerate() {
+                let xs = &x.as_slice()[ni * in_sz..(ni + 1) * in_sz];
+                let mut per_oz = vec![0.0; out_sz];
+                let mut full = vec![0.0; out_sz];
+                conv3d_sample_per_oz(xs, w.as_slice(), &g, 4, &mut per_oz, ep.as_ref());
+                conv3d_sample_full(xs, w.as_slice(), &g, 4, &mut full, ep.as_ref());
+                assert_eq!(
+                    per_oz,
+                    full,
+                    "per-oz conv3d diverges from the full lowering (ep: {})",
+                    ep.is_some()
+                );
+                assert_eq!(o, &per_oz[..], "forward diverges from the per-oz route");
+            }
         }
     }
 
@@ -1252,7 +1250,7 @@ mod tests {
         let x2 = Tensor::rand_normal([2, 3, 6, 6], 0.0, 1.0, &mut rng);
         let w2 = Tensor::rand_normal([4, 3, 3, 3], 0.0, 0.5, &mut rng);
         let spec2 = Conv2dSpec::new(1, 1);
-        let ref2 = conv2d_forward(&x2, &w2, &spec2).unwrap();
+        let ref2 = conv2d_forward(&x2, &w2, &spec2, None).unwrap();
 
         let x3 = x2.reshaped([2, 3, 1, 6, 6]).unwrap();
         let w3 = w2.reshaped([4, 3, 1, 3, 3]).unwrap();
@@ -1260,7 +1258,7 @@ mod tests {
             stride: (1, 1, 1),
             pad: (0, 1, 1),
         };
-        let out3 = conv3d_forward(&x3, &w3, &spec3).unwrap();
+        let out3 = conv3d_forward(&x3, &w3, &spec3, None).unwrap();
         assert_eq!(out3.dims(), &[2, 4, 1, 6, 6]);
         let flat = out3.reshaped([2, 4, 6, 6]).unwrap();
         for (a, b) in flat.as_slice().iter().zip(ref2.as_slice()) {
@@ -1274,7 +1272,7 @@ mod tests {
         let spec = Conv3dSpec::same(3, 3);
         let x = Tensor::rand_normal([1, 2, 4, 5, 5], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([3, 2, 3, 3, 3], 0.0, 0.5, &mut rng);
-        let y = conv3d_forward(&x, &w, &spec).unwrap();
+        let y = conv3d_forward(&x, &w, &spec, None).unwrap();
         let z = Tensor::rand_normal(y.dims().to_vec(), 0.0, 1.0, &mut rng);
         let lhs: f64 = y
             .as_slice()
@@ -1298,16 +1296,16 @@ mod tests {
         let spec = Conv3dSpec::same(3, 3);
         let x = Tensor::rand_normal([1, 2, 3, 4, 4], 0.0, 1.0, &mut rng);
         let mut w = Tensor::rand_normal([2, 2, 3, 3, 3], 0.0, 0.5, &mut rng);
-        let out = conv3d_forward(&x, &w, &spec).unwrap();
+        let out = conv3d_forward(&x, &w, &spec, None).unwrap();
         let gout = Tensor::ones(out.dims().to_vec());
         let dw = conv3d_backward_weights(&x, &gout, &spec, (3, 3, 3)).unwrap();
         let eps = 1e-2f32;
         for &idx in &[0usize, 13, 54, 107] {
             let orig = w.as_slice()[idx];
             w.as_mut_slice()[idx] = orig + eps;
-            let lp = conv3d_forward(&x, &w, &spec).unwrap().sum();
+            let lp = conv3d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig - eps;
-            let lm = conv3d_forward(&x, &w, &spec).unwrap().sum();
+            let lm = conv3d_forward(&x, &w, &spec, None).unwrap().sum();
             w.as_mut_slice()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             let ana = dw.as_slice()[idx];
@@ -1333,7 +1331,7 @@ mod tests {
         let mut rng = Rng::seed_from(10);
         let x = Tensor::rand_normal([1, 4, 6, 5, 5], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([4, 8, 3, 2, 2], 0.0, 0.5, &mut rng);
-        let y = conv_transpose3d_forward(&x, &w, &spec).unwrap();
+        let y = conv_transpose3d_forward(&x, &w, &spec, None).unwrap();
         assert_eq!(y.dims(), &[1, 8, 6, 10, 10]);
     }
 
@@ -1341,9 +1339,9 @@ mod tests {
     fn shape_errors_are_reported() {
         let x = Tensor::zeros([1, 3, 4, 4]);
         let w_bad_ci = Tensor::zeros([2, 5, 3, 3]);
-        assert!(conv2d_forward(&x, &w_bad_ci, &Conv2dSpec::new(1, 1)).is_err());
+        assert!(conv2d_forward(&x, &w_bad_ci, &Conv2dSpec::new(1, 1), None).is_err());
         let w_bad_rank = Tensor::zeros([2, 3, 3]);
-        assert!(conv2d_forward(&x, &w_bad_rank, &Conv2dSpec::new(1, 1)).is_err());
+        assert!(conv2d_forward(&x, &w_bad_rank, &Conv2dSpec::new(1, 1), None).is_err());
         let gout_bad = Tensor::zeros([1, 2, 9, 9]);
         let w = Tensor::zeros([2, 3, 3, 3]);
         assert!(conv2d_backward_data(&gout_bad, &w, &Conv2dSpec::new(1, 1), (4, 4)).is_err());
@@ -1380,9 +1378,9 @@ mod tests {
         let w2 = Tensor::rand_normal([6, 3, 3, 3], 0.0, 0.5, &mut rng);
         let b2: Vec<f32> = (0..6).map(|_| rng.normal(0.0, 0.5)).collect();
         let spec2 = Conv2dSpec::same(3);
-        let plain = conv2d_forward(&x2, &w2, &spec2).unwrap();
+        let plain = conv2d_forward(&x2, &w2, &spec2, None).unwrap();
         let fused =
-            conv2d_forward_fused(&x2, &w2, &spec2, Some(&Epilogue::new(&b2).leaky(alpha))).unwrap();
+            conv2d_forward(&x2, &w2, &spec2, Some(&Epilogue::new(&b2).leaky(alpha))).unwrap();
         assert_eq!(
             fused.as_slice(),
             sweep_bias_lrelu(&plain, &b2, alpha).as_slice()
@@ -1392,9 +1390,9 @@ mod tests {
         let w3 = Tensor::rand_normal([5, 2, 3, 3, 3], 0.0, 0.5, &mut rng);
         let b3: Vec<f32> = (0..5).map(|_| rng.normal(0.0, 0.5)).collect();
         let spec3 = Conv3dSpec::same(3, 3);
-        let plain = conv3d_forward(&x3, &w3, &spec3).unwrap();
+        let plain = conv3d_forward(&x3, &w3, &spec3, None).unwrap();
         let fused =
-            conv3d_forward_fused(&x3, &w3, &spec3, Some(&Epilogue::new(&b3).leaky(alpha))).unwrap();
+            conv3d_forward(&x3, &w3, &spec3, Some(&Epilogue::new(&b3).leaky(alpha))).unwrap();
         assert_eq!(
             fused.as_slice(),
             sweep_bias_lrelu(&plain, &b3, alpha).as_slice()
@@ -1405,14 +1403,10 @@ mod tests {
         let wd = Tensor::rand_normal([3, 4, 2, 2], 0.0, 0.5, &mut rng);
         let bd: Vec<f32> = (0..4).map(|_| rng.normal(0.0, 0.5)).collect();
         let specd = Conv2dSpec::new(2, 0);
-        let plain = conv_transpose2d_forward(&xd, &wd, &specd).unwrap();
-        let fused = conv_transpose2d_forward_fused(
-            &xd,
-            &wd,
-            &specd,
-            Some(&Epilogue::new(&bd).leaky(alpha)),
-        )
-        .unwrap();
+        let plain = conv_transpose2d_forward(&xd, &wd, &specd, None).unwrap();
+        let fused =
+            conv_transpose2d_forward(&xd, &wd, &specd, Some(&Epilogue::new(&bd).leaky(alpha)))
+                .unwrap();
         assert_eq!(
             fused.as_slice(),
             sweep_bias_lrelu(&plain, &bd, alpha).as_slice()
@@ -1425,14 +1419,10 @@ mod tests {
             stride: (1, 2, 2),
             pad: (1, 0, 0),
         };
-        let plain = conv_transpose3d_forward(&xd3, &wd3, &specd3).unwrap();
-        let fused = conv_transpose3d_forward_fused(
-            &xd3,
-            &wd3,
-            &specd3,
-            Some(&Epilogue::new(&bd3).leaky(alpha)),
-        )
-        .unwrap();
+        let plain = conv_transpose3d_forward(&xd3, &wd3, &specd3, None).unwrap();
+        let fused =
+            conv_transpose3d_forward(&xd3, &wd3, &specd3, Some(&Epilogue::new(&bd3).leaky(alpha)))
+                .unwrap();
         assert_eq!(
             fused.as_slice(),
             sweep_bias_lrelu(&plain, &bd3, alpha).as_slice()
@@ -1440,6 +1430,6 @@ mod tests {
 
         // Epilogue shape errors surface, not panic.
         let short = vec![0.0f32; 2];
-        assert!(conv2d_forward_fused(&x2, &w2, &spec2, Some(&Epilogue::new(&short))).is_err());
+        assert!(conv2d_forward(&x2, &w2, &spec2, Some(&Epilogue::new(&short))).is_err());
     }
 }

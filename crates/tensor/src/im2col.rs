@@ -88,29 +88,53 @@ impl Geom2d {
     }
 }
 
-/// When set, the conv lowering takes its original form: per-element
-/// gather/scatter loops even for unit stride, and one full-geometry
-/// im2col + GEMM per conv3d sample (no structurally-zero depth-tap
-/// skipping). Kept solely so benchmarks can measure the fast-path gains
-/// apples-to-apples in one process (the same role `sgemm_scalar_serial`
-/// plays for the packed GEMM); both forms produce bit-identical values,
-/// this only selects the slower loops.
-static REFERENCE_KERNELS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Benchmark hook: force the pre-optimisation conv lowering (`true`) or
-/// restore the fast paths (`false`).
-pub fn set_reference_kernels(on: bool) {
-    REFERENCE_KERNELS.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether the benchmark hook has pinned the original lowering.
-pub(crate) fn reference_kernels() -> bool {
-    REFERENCE_KERNELS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
+/// Fills one `ow`-wide im2col output row from input row `x_row` for
+/// kernel column `kw`: the unit-stride copy when `sw == 1`, else the
+/// per-element gather.
 #[inline]
-fn unit_stride_fast_path(sw: usize) -> bool {
-    sw == 1 && !reference_kernels()
+fn gather_row(x_row: &[f32], dst: &mut [f32], kw: usize, sw: usize, pw: usize) {
+    if sw == 1 {
+        gather_row_unit_stride(x_row, dst, kw, pw);
+    } else {
+        gather_row_strided(x_row, dst, kw, sw, pw);
+    }
+}
+
+/// Adjoint of [`gather_row`]: accumulates `src` into `x_row`.
+#[inline]
+fn scatter_row(src: &[f32], x_row: &mut [f32], kw: usize, sw: usize, pw: usize) {
+    if sw == 1 {
+        scatter_row_unit_stride(src, x_row, kw, pw);
+    } else {
+        scatter_row_strided(src, x_row, kw, sw, pw);
+    }
+}
+
+/// Per-element gather of one im2col row for any horizontal stride; taps
+/// in the padding read zero. The fast paths below must reproduce it bit
+/// for bit.
+fn gather_row_strided(x_row: &[f32], dst: &mut [f32], kw: usize, sw: usize, pw: usize) {
+    let w = x_row.len() as isize;
+    for (ox, d) in dst.iter_mut().enumerate() {
+        let ix = (ox * sw + kw) as isize - pw as isize;
+        *d = if ix < 0 || ix >= w {
+            0.0
+        } else {
+            x_row[ix as usize]
+        };
+    }
+}
+
+/// Adjoint of [`gather_row_strided`]: scatter-adds `src` into `x_row`,
+/// dropping padding taps.
+fn scatter_row_strided(src: &[f32], x_row: &mut [f32], kw: usize, sw: usize, pw: usize) {
+    let w = x_row.len() as isize;
+    for (ox, &s) in src.iter().enumerate() {
+        let ix = (ox * sw + kw) as isize - pw as isize;
+        if ix >= 0 && ix < w {
+            x_row[ix as usize] += s;
+        }
+    }
 }
 
 /// Fills one `ow`-wide im2col output row for unit horizontal stride: the
@@ -194,10 +218,10 @@ fn gather_plane_shift(
 }
 
 /// Whether [`gather_plane_shift`] applies: unit strides and same-size
-/// output planes (and the reference-kernel hook not pinned).
+/// output planes.
 #[inline]
 fn plane_fast_path(sh: usize, sw: usize, oh: usize, ow: usize, h: usize, w: usize) -> bool {
-    sh == 1 && sw == 1 && oh == h && ow == w && !reference_kernels()
+    sh == 1 && sw == 1 && oh == h && ow == w
 }
 
 /// Adjoint of [`gather_row_unit_stride`]: accumulates the in-bounds span
@@ -224,7 +248,6 @@ pub fn im2col2d(x: &[f32], g: &Geom2d, cols: &mut [f32]) {
     let (oh, ow) = (g.out_h(), g.out_w());
     debug_assert_eq!(x.len(), g.c * g.h * g.w);
     debug_assert_eq!(cols.len(), g.col_rows() * g.col_cols());
-    let fast = unit_stride_fast_path(g.sw);
     let plane_fast = plane_fast_path(g.sh, g.sw, oh, ow, g.h, g.w);
     let ncols = oh * ow;
     for c in 0..g.c {
@@ -245,18 +268,7 @@ pub fn im2col2d(x: &[f32], g: &Geom2d, cols: &mut [f32]) {
                         continue;
                     }
                     let x_row = &x_c[iy as usize * g.w..(iy as usize + 1) * g.w];
-                    if fast {
-                        gather_row_unit_stride(x_row, dst, kw, g.pw);
-                        continue;
-                    }
-                    for (ox, d) in dst.iter_mut().enumerate() {
-                        let ix = (ox * g.sw + kw) as isize - g.pw as isize;
-                        *d = if ix < 0 || ix >= g.w as isize {
-                            0.0
-                        } else {
-                            x_row[ix as usize]
-                        };
-                    }
+                    gather_row(x_row, dst, kw, g.sw, g.pw);
                 }
             }
         }
@@ -271,7 +283,6 @@ pub fn col2im2d(cols: &[f32], g: &Geom2d, x: &mut [f32]) {
     let (oh, ow) = (g.out_h(), g.out_w());
     debug_assert_eq!(x.len(), g.c * g.h * g.w);
     debug_assert_eq!(cols.len(), g.col_rows() * g.col_cols());
-    let fast = unit_stride_fast_path(g.sw);
     let ncols = oh * ow;
     for c in 0..g.c {
         let x_c = &mut x[c * g.h * g.w..(c + 1) * g.h * g.w];
@@ -286,16 +297,7 @@ pub fn col2im2d(cols: &[f32], g: &Geom2d, x: &mut [f32]) {
                     }
                     let x_row = &mut x_c[iy as usize * g.w..(iy as usize + 1) * g.w];
                     let src = &src_row[oy * ow..(oy + 1) * ow];
-                    if fast {
-                        scatter_row_unit_stride(src, x_row, kw, g.pw);
-                        continue;
-                    }
-                    for (ox, &s) in src.iter().enumerate() {
-                        let ix = (ox * g.sw + kw) as isize - g.pw as isize;
-                        if ix >= 0 && ix < g.w as isize {
-                            x_row[ix as usize] += s;
-                        }
-                    }
+                    scatter_row(src, x_row, kw, g.sw, g.pw);
                 }
             }
         }
@@ -415,7 +417,6 @@ pub fn im2col3d(x: &[f32], g: &Geom3d, cols: &mut [f32]) {
     let (od, oh, ow) = (g.out_d(), g.out_h(), g.out_w());
     debug_assert_eq!(x.len(), g.c * g.d * g.h * g.w);
     debug_assert_eq!(cols.len(), g.col_rows() * g.col_cols());
-    let fast = unit_stride_fast_path(g.sw);
     let plane_fast = plane_fast_path(g.sh, g.sw, oh, ow, g.h, g.w);
     let ncols = od * oh * ow;
     let plane = g.h * g.w;
@@ -448,18 +449,7 @@ pub fn im2col3d(x: &[f32], g: &Geom3d, cols: &mut [f32]) {
                             }
                             let x_row = &x_c[(iz as usize * g.h + iy as usize) * g.w
                                 ..(iz as usize * g.h + iy as usize) * g.w + g.w];
-                            if fast {
-                                gather_row_unit_stride(x_row, dst, kw, g.pw);
-                                continue;
-                            }
-                            for (ox, dv) in dst.iter_mut().enumerate() {
-                                let ix = (ox * g.sw + kw) as isize - g.pw as isize;
-                                *dv = if ix < 0 || ix >= g.w as isize {
-                                    0.0
-                                } else {
-                                    x_row[ix as usize]
-                                };
-                            }
+                            gather_row(x_row, dst, kw, g.sw, g.pw);
                         }
                     }
                 }
@@ -473,7 +463,6 @@ pub fn col2im3d(cols: &[f32], g: &Geom3d, x: &mut [f32]) {
     let (od, oh, ow) = (g.out_d(), g.out_h(), g.out_w());
     debug_assert_eq!(x.len(), g.c * g.d * g.h * g.w);
     debug_assert_eq!(cols.len(), g.col_rows() * g.col_cols());
-    let fast = unit_stride_fast_path(g.sw);
     let ncols = od * oh * ow;
     let plane = g.h * g.w;
     for c in 0..g.c {
@@ -497,16 +486,7 @@ pub fn col2im3d(cols: &[f32], g: &Geom3d, x: &mut [f32]) {
                             let src = &src_row[base..base + ow];
                             let x_row = &mut x_c[(iz as usize * g.h + iy as usize) * g.w
                                 ..(iz as usize * g.h + iy as usize) * g.w + g.w];
-                            if fast {
-                                scatter_row_unit_stride(src, x_row, kw, g.pw);
-                                continue;
-                            }
-                            for (ox, &s) in src.iter().enumerate() {
-                                let ix = (ox * g.sw + kw) as isize - g.pw as isize;
-                                if ix >= 0 && ix < g.w as isize {
-                                    x_row[ix as usize] += s;
-                                }
-                            }
+                            scatter_row(src, x_row, kw, g.sw, g.pw);
                         }
                     }
                 }
@@ -531,7 +511,6 @@ pub fn im2col3d_oz(x: &[f32], g: &Geom3d, oz: usize, kd_lo: usize, kd_hi: usize,
     let (oh, ow) = (g.out_h(), g.out_w());
     debug_assert!(kd_lo < kd_hi && kd_hi <= g.kd);
     debug_assert_eq!(cols.len(), g.c * (kd_hi - kd_lo) * g.kh * g.kw * oh * ow);
-    let fast = unit_stride_fast_path(g.sw);
     let plane_fast = plane_fast_path(g.sh, g.sw, oh, ow, g.h, g.w);
     let ncols = oh * ow;
     let plane = g.h * g.w;
@@ -559,18 +538,7 @@ pub fn im2col3d_oz(x: &[f32], g: &Geom3d, oz: usize, kd_lo: usize, kd_hi: usize,
                         }
                         let base = (iz * g.h + iy as usize) * g.w;
                         let x_row = &x_c[base..base + g.w];
-                        if fast {
-                            gather_row_unit_stride(x_row, dst, kw, g.pw);
-                            continue;
-                        }
-                        for (ox, dv) in dst.iter_mut().enumerate() {
-                            let ix = (ox * g.sw + kw) as isize - g.pw as isize;
-                            *dv = if ix < 0 || ix >= g.w as isize {
-                                0.0
-                            } else {
-                                x_row[ix as usize]
-                            };
-                        }
+                        gather_row(x_row, dst, kw, g.sw, g.pw);
                     }
                 }
             }
@@ -798,12 +766,88 @@ mod tests {
         assert_eq!(cols, vec![10.0, 20.0, 20.0, 30.0]);
     }
 
+    /// A 2D geometry as the equivalent depth-1 3D one (same row order).
+    fn as_3d(g: &Geom2d) -> Geom3d {
+        Geom3d {
+            c: g.c,
+            d: 1,
+            h: g.h,
+            w: g.w,
+            kd: 1,
+            kh: g.kh,
+            kw: g.kw,
+            sd: 1,
+            sh: g.sh,
+            sw: g.sw,
+            pd: 0,
+            ph: g.ph,
+            pw: g.pw,
+        }
+    }
+
+    /// Input row `(iz, iy)` feeding output row `(oz, oy)` for taps
+    /// `(kd, kh)`, or `None` when it lies in the padding.
+    fn src_row(g: &Geom3d, oz: usize, oy: usize, kd: usize, kh: usize) -> Option<usize> {
+        let iz = (oz * g.sd + kd) as isize - g.pd as isize;
+        let iy = (oy * g.sh + kh) as isize - g.ph as isize;
+        if iz < 0 || iz >= g.d as isize || iy < 0 || iy >= g.h as isize {
+            return None;
+        }
+        Some(iz as usize * g.h + iy as usize)
+    }
+
+    /// Per-element im2col: every row through [`gather_row_strided`].
+    fn im2col_reference(x: &[f32], g: &Geom3d) -> Vec<f32> {
+        let (od, oh, ow) = (g.out_d(), g.out_h(), g.out_w());
+        let per_c = g.d * g.h * g.w;
+        let mut cols = vec![0.0; g.col_len()];
+        for (row, out_row) in cols.chunks_exact_mut(od * oh * ow).enumerate() {
+            let (c, kd, kh, kw) = (
+                row / (g.kd * g.kh * g.kw),
+                row / (g.kh * g.kw) % g.kd,
+                row / g.kw % g.kh,
+                row % g.kw,
+            );
+            for (r, dst) in out_row.chunks_exact_mut(ow).enumerate() {
+                if let Some(i) = src_row(g, r / oh, r % oh, kd, kh) {
+                    let x_row = &x[c * per_c + i * g.w..][..g.w];
+                    gather_row_strided(x_row, dst, kw, g.sw, g.pw);
+                }
+            }
+        }
+        cols
+    }
+
+    /// Per-element col2im: every row through [`scatter_row_strided`].
+    fn col2im_reference(cols: &[f32], g: &Geom3d) -> Vec<f32> {
+        let (od, oh, ow) = (g.out_d(), g.out_h(), g.out_w());
+        let per_c = g.d * g.h * g.w;
+        let mut x = vec![0.0; g.c * per_c];
+        for (row, src) in cols.chunks_exact(od * oh * ow).enumerate() {
+            let (c, kd, kh, kw) = (
+                row / (g.kd * g.kh * g.kw),
+                row / (g.kh * g.kw) % g.kd,
+                row / g.kw % g.kh,
+                row % g.kw,
+            );
+            for (r, s) in src.chunks_exact(ow).enumerate() {
+                if let Some(i) = src_row(g, r / oh, r % oh, kd, kh) {
+                    let x_row = &mut x[c * per_c + i * g.w..][..g.w];
+                    scatter_row_strided(s, x_row, kw, g.sw, g.pw);
+                }
+            }
+        }
+        x
+    }
+
+    /// The unit-stride row copy and the whole-plane shift must be
+    /// bit-identical to the per-element gather/scatter, 2D and 3D. The
+    /// geometries cover the plane path (same-size output), the row path
+    /// (vertical stride 2) and a kernel wider than the input.
     #[test]
     fn unit_stride_fast_path_matches_reference() {
-        // The benchmark hook selects the pre-optimisation loops; both
-        // paths must be bit-identical for gather and scatter, 2D and 3D.
         let mut rng = Rng::seed_from(7);
-        let g2 = Geom2d {
+        let base = Geom2d {
             c: 2,
             h: 5,
             w: 7,
@@ -814,7 +858,26 @@ mod tests {
             ph: 1,
             pw: 1,
         };
-        let g3 = Geom3d {
+        let wide = Geom2d {
+            h: 3,
+            w: 2,
+            kh: 5,
+            kw: 5,
+            ph: 2,
+            pw: 2,
+            ..base
+        };
+        for g2 in [base, Geom2d { sh: 2, ..base }, wide] {
+            let g3 = as_3d(&g2);
+            let x = Tensor::rand_normal([g2.c * g2.h * g2.w], 0.0, 1.0, &mut rng);
+            let mut cols = vec![0.0; g2.col_len()];
+            im2col2d(x.as_slice(), &g2, &mut cols);
+            assert_eq!(cols, im2col_reference(x.as_slice(), &g3), "{g2:?}");
+            let mut back = vec![0.0; x.numel()];
+            col2im2d(&cols, &g2, &mut back);
+            assert_eq!(back, col2im_reference(&cols, &g3), "{g2:?}");
+        }
+        let base3 = Geom3d {
             c: 2,
             d: 3,
             h: 4,
@@ -829,32 +892,15 @@ mod tests {
             ph: 1,
             pw: 1,
         };
-        let x2 = Tensor::rand_normal([g2.c, g2.h, g2.w], 0.0, 1.0, &mut rng);
-        let x3 = Tensor::rand_normal([g3.c, g3.d, g3.h, g3.w], 0.0, 1.0, &mut rng);
-        let mut fast2 = vec![0.0; g2.col_len()];
-        let mut fast3 = vec![0.0; g3.col_len()];
-        im2col2d(x2.as_slice(), &g2, &mut fast2);
-        im2col3d(x3.as_slice(), &g3, &mut fast3);
-        let mut back_fast2 = vec![0.0; x2.as_slice().len()];
-        let mut back_fast3 = vec![0.0; x3.as_slice().len()];
-        col2im2d(&fast2, &g2, &mut back_fast2);
-        col2im3d(&fast3, &g3, &mut back_fast3);
-
-        set_reference_kernels(true);
-        let mut ref2 = vec![0.0; g2.col_len()];
-        let mut ref3 = vec![0.0; g3.col_len()];
-        im2col2d(x2.as_slice(), &g2, &mut ref2);
-        im2col3d(x3.as_slice(), &g3, &mut ref3);
-        let mut back_ref2 = vec![0.0; x2.as_slice().len()];
-        let mut back_ref3 = vec![0.0; x3.as_slice().len()];
-        col2im2d(&ref2, &g2, &mut back_ref2);
-        col2im3d(&ref3, &g3, &mut back_ref3);
-        set_reference_kernels(false);
-
-        assert_eq!(fast2, ref2);
-        assert_eq!(fast3, ref3);
-        assert_eq!(back_fast2, back_ref2);
-        assert_eq!(back_fast3, back_ref3);
+        for g3 in [base3, Geom3d { sh: 2, ..base3 }] {
+            let x = Tensor::rand_normal([g3.c * g3.d * g3.h * g3.w], 0.0, 1.0, &mut rng);
+            let mut cols = vec![0.0; g3.col_len()];
+            im2col3d(x.as_slice(), &g3, &mut cols);
+            assert_eq!(cols, im2col_reference(x.as_slice(), &g3), "{g3:?}");
+            let mut back = vec![0.0; x.numel()];
+            col2im3d(&cols, &g3, &mut back);
+            assert_eq!(back, col2im_reference(&cols, &g3), "{g3:?}");
+        }
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!
 //! Tiny products (where packing costs more than it saves) take a
 //! branch-free scalar path chosen *by shape only*, never by worker count.
-//! The pre-PR scalar kernel survives as [`sgemm_scalar_serial`] so the
-//! bench harness can report the packed kernel's speedup against it.
 
 use crate::error::{Result, TensorError};
 use crate::isa::{active_isa, Isa};
@@ -682,39 +680,6 @@ pub fn sgemm_nt_serial(
     }
 }
 
-/// The pre-packing scalar `i-k-j` kernel (with its per-element
-/// `a == 0.0` skip), kept verbatim as the baseline the bench harness
-/// measures the packed kernel against. Not used by any compute path.
-pub fn sgemm_scalar_serial(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    assert_eq!(a.len(), m * k, "sgemm_scalar_serial: bad A length");
-    assert_eq!(b.len(), k * n, "sgemm_scalar_serial: bad B length");
-    assert_eq!(c.len(), m * n, "sgemm_scalar_serial: bad C length");
-    if !accumulate {
-        c.fill(0.0);
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (l, &a_il) in a_row.iter().enumerate() {
-            if a_il == 0.0 {
-                continue;
-            }
-            let b_row = &b[l * n..(l + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_il * bv;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shape-checked tensor wrappers
 // ---------------------------------------------------------------------------
@@ -939,21 +904,6 @@ mod tests {
         assert_eq!(c, vec![3.0, 1.0, 1.0, 3.0]);
         sgemm_serial(&a, &b, &mut c, 2, 2, 2, false);
         assert_eq!(c, vec![2.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn scalar_reference_matches_packed() {
-        let mut rng = Rng::seed_from(11);
-        let (m, k, n) = (20, 30, 40);
-        let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-        let mut packed = vec![0.0; m * n];
-        sgemm_serial(a.as_slice(), b.as_slice(), &mut packed, m, k, n, false);
-        let mut scalar = vec![0.0; m * n];
-        sgemm_scalar_serial(a.as_slice(), b.as_slice(), &mut scalar, m, k, n, false);
-        for (x, y) in packed.iter().zip(&scalar) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
     }
 
     /// `(mean, inv_std, gamma, beta)` per-row BN arrays for the reference.

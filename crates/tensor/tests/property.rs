@@ -184,11 +184,12 @@ fn conv2d_linearity() {
         let x2 = Tensor::rand_normal([1, 2, 6, 6], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([3, 2, 3, 3], 0.0, 0.5, &mut rng);
         let spec = Conv2dSpec::same(3);
-        let lhs = conv2d_forward(&x1.scale(alpha).add(&x2).expect("add"), &w, &spec).expect("conv");
-        let rhs = conv2d_forward(&x1, &w, &spec)
+        let lhs =
+            conv2d_forward(&x1.scale(alpha).add(&x2).expect("add"), &w, &spec, None).expect("conv");
+        let rhs = conv2d_forward(&x1, &w, &spec, None)
             .expect("conv")
             .scale(alpha)
-            .add(&conv2d_forward(&x2, &w, &spec).expect("conv"))
+            .add(&conv2d_forward(&x2, &w, &spec, None).expect("conv"))
             .expect("add");
         for (a, b) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             assert!(
@@ -210,12 +211,12 @@ fn deconv_is_conv_adjoint() {
         let w = Tensor::rand_normal([2, 3, 3, 3], 0.0, 0.5, &mut rng); // [Ci_d, Co_d, k, k]
         let x = Tensor::rand_normal([1, 2, 4, 4], 0.0, 1.0, &mut rng);
         let spec = Conv2dSpec::new(stride, pad);
-        let dx = match conv_transpose2d_forward(&x, &w, &spec) {
+        let dx = match conv_transpose2d_forward(&x, &w, &spec, None) {
             Ok(t) => t,
             Err(_) => continue, // geometry impossible for this draw
         };
         let y = Tensor::rand_normal(dx.dims().to_vec(), 0.0, 1.0, &mut rng);
-        let cy = conv2d_forward(&y, &w, &spec).expect("conv");
+        let cy = conv2d_forward(&y, &w, &spec, None).expect("conv");
         let lhs: f64 = cy
             .as_slice()
             .iter()
@@ -247,7 +248,7 @@ fn conv_backward_data_adjoint() {
             stride: (stride, stride),
             pad: (1, 1),
         };
-        let y = conv2d_forward(&x, &w, &spec).expect("conv");
+        let y = conv2d_forward(&x, &w, &spec, None).expect("conv");
         let g = Tensor::rand_normal(y.dims().to_vec(), 0.0, 1.0, &mut rng);
         let gx = conv2d_backward_data(&g, &w, &spec, (6, 6)).expect("bwd");
         let lhs: f64 = y

@@ -55,9 +55,9 @@ fn conv_and_gemm_outputs_are_bit_identical_across_worker_counts() {
     let gb: Vec<f32> = (0..k * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
 
     let run_all = || {
-        let y2 = conv2d_forward(&x2, &w2, &spec2).unwrap();
+        let y2 = conv2d_forward(&x2, &w2, &spec2, None).unwrap();
         let g2 = Tensor::rand_normal(y2.dims().to_vec(), 0.0, 1.0, &mut Rng::seed_from(5));
-        let y3 = conv3d_forward(&x3, &w3, &spec3).unwrap();
+        let y3 = conv3d_forward(&x3, &w3, &spec3, None).unwrap();
         let g3 = Tensor::rand_normal(y3.dims().to_vec(), 0.0, 1.0, &mut Rng::seed_from(6));
         let mut out = vec![
             bits(&y2),
@@ -66,7 +66,7 @@ fn conv_and_gemm_outputs_are_bit_identical_across_worker_counts() {
             bits(&y3),
             bits(&conv3d_backward_data(&g3, &w3, &spec3, (5, 6, 6)).unwrap()),
             bits(&conv3d_backward_weights(&x3, &g3, &spec3, (3, 3, 3)).unwrap()),
-            bits(&conv_transpose3d_forward(&x3, &wt3, &tspec3).unwrap()),
+            bits(&conv_transpose3d_forward(&x3, &wt3, &tspec3, None).unwrap()),
         ];
         let mut c = vec![0.0f32; m * n];
         sgemm(&ga, &gb, &mut c, m, k, n);

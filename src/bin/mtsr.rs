@@ -451,8 +451,9 @@ fn cmd_stream(args: &Args) -> CmdOutcome {
     let model_path = args.get("model").ok_or("--model <ckpt> required")?;
     let instance = parse_instance(args.get("instance"))?;
     let ds = build_dataset(grid, days, instance, s, seed).map_err(|e| e.to_string())?;
-    let gen = load_generator(&ds, model_path, s)?;
-    let mut stream = StreamingPredictor::new(gen, ds.moments()).map_err(|e| e.to_string())?;
+    let mut gen = load_generator(&ds, model_path, s)?;
+    let mut stream = StreamingPredictor::new(&mut gen, ds.moments(), ds.layout().square)
+        .map_err(|e| e.to_string())?;
     let mut detector =
         TrafficAnomalyDetector::new(grid, 24, 0.3, 6.0).map_err(|e| e.to_string())?;
 
@@ -515,7 +516,6 @@ fn cmd_serve(args: &Args) -> CmdOutcome {
             "linger-ms",
             "max-conns",
             "fuse",
-            "exact",
             "adapt",
             "drift-threshold",
             "drift-window",
@@ -558,12 +558,10 @@ fn cmd_serve(args: &Args) -> CmdOutcome {
     let batch = args.usize_flag("batch", 4)?;
     // BN folded into the weights by default (fastest f32 route); --fuse
     // selects exact (bit-identical to the eval forward), folded, or
-    // quantized (int8 conv weights). --exact is kept as an alias for
-    // `--fuse exact`.
+    // quantized (int8 conv weights).
     let policy = match args.get("fuse") {
         Some(name) => FusePolicy::parse(name)
             .ok_or_else(|| format!("--fuse must be exact|folded|quantized, got `{name}`"))?,
-        None if args.bool_flag("exact")? => FusePolicy::Exact,
         None => FusePolicy::Folded,
     };
 
@@ -1197,7 +1195,7 @@ fn usage() -> &'static str {
        mtsr serve    (--model CKPT | --models NAME=CKPT[,NAME=CKPT...])\n\
                      [--addr HOST:PORT] [--batch B] [--workers W] [--queue N]\n\
                      [--deadline-ms MS] [--linger-ms MS] [--max-conns N]\n\
-                     [--fuse exact|folded|quantized] [--exact]\n\
+                     [--fuse exact|folded|quantized]\n\
                      [--adapt] [--drift-threshold T] [--drift-window N]\n\
                      [--adapt-pairs N] [--adapt-holdout N] [--adapt-steps N]\n\
                      [--window N] [--stride N] [--instance ...] [--grid N] [--seed S]\n\

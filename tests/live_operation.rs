@@ -41,8 +41,9 @@ fn trained_setup(seed: u64) -> (Dataset, ZipNet) {
 /// warm, and the maps track ground truth.
 #[test]
 fn stream_serving_tracks_ground_truth() {
-    let (ds, gen) = trained_setup(51);
-    let mut stream = StreamingPredictor::new(gen, ds.moments()).expect("stream");
+    let (ds, mut gen) = trained_setup(51);
+    let mut stream =
+        StreamingPredictor::new(&mut gen, ds.moments(), ds.layout().square).expect("stream");
     let start = ds.range(Split::Test).start;
     let mut produced = 0;
     let mut err = 0.0f64;
@@ -64,8 +65,9 @@ fn stream_serving_tracks_ground_truth() {
 /// "anomaly detector operating only with coarse measurements" of §5.5.
 #[test]
 fn detector_on_inferred_maps_flags_an_event() {
-    let (ds, gen) = trained_setup(52);
-    let mut stream = StreamingPredictor::new(gen, ds.moments()).expect("stream");
+    let (ds, mut gen) = trained_setup(52);
+    let mut stream =
+        StreamingPredictor::new(&mut gen, ds.moments(), ds.layout().square).expect("stream");
     // One profile bucket over a drifting diurnal ramp: some baseline
     // z-score noise is expected; the injected event must stand far above
     // the drift, not above zero.
