@@ -10,26 +10,122 @@ use crate::error::{Result, TensorError};
 use crate::parallel::{num_threads, par_chunks_mut};
 use crate::tensor::Tensor;
 
-/// Minimum slice length before the LeakyReLU kernels split across the
-/// worker pool; below this the dispatch overhead beats the sweep itself.
-/// Elementwise maps are partition-invariant, so the threshold only trades
-/// wall-clock — results are bit-identical either way.
-const LEAKY_PAR_MIN: usize = 16 * 1024;
+/// Element count below which the kernels in this module, and batch
+/// norm's per-plane passes, stay on the calling thread: under ~10⁵
+/// floats, waking the pool costs more than splitting a streaming pass
+/// saves (DESIGN.md, "Training elementwise kernels", has the
+/// measurement). Every kernel that uses it is partition-invariant, so
+/// the threshold only trades wall-clock — results are bit-identical on
+/// either side of it.
+pub const PAR_MIN_LEN: usize = 128 * 1024;
+
+/// `data.chunks_mut(chunk_len).enumerate().for_each(f)`, split across
+/// the worker pool when the job touches at least [`PAR_MIN_LEN`]
+/// elements (`work`) and serial otherwise.
+pub fn par_chunks_if_large<T, F>(work: usize, data: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if work < PAR_MIN_LEN {
+        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(i, chunk);
+        }
+    } else {
+        par_chunks_mut(data, chunk_len, f);
+    }
+}
+
+/// Planes [`channel_sums`] advances together: their chains are
+/// independent, so interleaving them hides the f64 add latency that
+/// bounds a single chain.
+const PLANE_GROUP: usize = 4;
+
+/// Per-channel f64 sums over `[N, C, spatial]` inputs: the one reduction
+/// behind the channel statistics below, the bias gradients and batch
+/// norm's backward.
+///
+/// `terms(c)` returns channel `c`'s per-element function, which maps the
+/// `M` inputs' values at one position to `K` terms; the result holds the
+/// per-channel sums of each term. Every `(n, c)` plane is one sequential
+/// f64 chain from 0.0 in ascending element order, and the plane sums are
+/// folded per channel in ascending `n`, again from 0.0. Planes are
+/// independent, so they run in parallel and interleaved; neither the
+/// chain order nor the fold order depends on the worker count, so the
+/// result is bit-identical on any pool size.
+pub fn channel_sums<const M: usize, const K: usize, T, F>(
+    inputs: [&[f32]; M],
+    (n, c, spatial): (usize, usize, usize),
+    terms: F,
+) -> Vec<[f64; K]>
+where
+    T: Fn([f32; M]) -> [f64; K],
+    F: Fn(usize) -> T + Sync,
+{
+    for x in inputs {
+        assert_eq!(x.len(), n * c * spatial, "channel_sums: length mismatch");
+    }
+    let mut planes = vec![[0.0f64; K]; n * c];
+    par_chunks_if_large(M * n * c * spatial, &mut planes, PLANE_GROUP, |g, out| {
+        let first = g * PLANE_GROUP;
+        if let Ok(out) = <&mut [[f64; K]; PLANE_GROUP]>::try_from(&mut *out) {
+            *out = plane_sums(
+                &inputs,
+                first,
+                spatial,
+                std::array::from_fn(|k| terms((first + k) % c)),
+            );
+        } else {
+            for (k, o) in out.iter_mut().enumerate() {
+                [*o] = plane_sums(&inputs, first + k, spatial, [terms((first + k) % c)]);
+            }
+        }
+    });
+    let mut acc = vec![[0.0f64; K]; c];
+    for batch in planes.chunks_exact(c.max(1)) {
+        for (a, s) in acc.iter_mut().zip(batch) {
+            for (a, s) in a.iter_mut().zip(s) {
+                *a += s;
+            }
+        }
+    }
+    acc
+}
+
+/// The sums of `P` consecutive planes from `first`, advanced in lockstep.
+fn plane_sums<const M: usize, const K: usize, const P: usize, T>(
+    inputs: &[&[f32]; M],
+    first: usize,
+    spatial: usize,
+    terms: [T; P],
+) -> [[f64; K]; P]
+where
+    T: Fn([f32; M]) -> [f64; K],
+{
+    let planes: [[&[f32]; M]; P] =
+        std::array::from_fn(|k| inputs.map(|x| &x[(first + k) * spatial..][..spatial]));
+    let mut acc = [[0.0f64; K]; P];
+    for j in 0..spatial {
+        for ((a, t), x) in acc.iter_mut().zip(&terms).zip(&planes) {
+            for (a, v) in a.iter_mut().zip(t(x.map(|x| x[j]))) {
+                *a += v;
+            }
+        }
+    }
+    acc
+}
 
 /// `out[i] = x[i] > 0 ? x[i] : alpha * x[i]`, split across the worker
-/// pool for large slices. The shared forward kernel behind both the
-/// standalone `LeakyReLU` layer and the planned inference executor.
+/// pool for large slices. The forward kernel of the `LeakyReLU` layer
+/// (the planned inference executor fuses the activation into its conv
+/// epilogues instead).
 pub fn leaky_relu_slice(x: &[f32], out: &mut [f32], alpha: f32) {
     assert_eq!(x.len(), out.len(), "leaky_relu_slice: length mismatch");
-    let len = x.len();
-    if len < LEAKY_PAR_MIN || num_threads() <= 1 {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = if v > 0.0 { v } else { alpha * v };
-        }
-        return;
-    }
-    let chunk = len.div_ceil(num_threads()).max(1);
-    par_chunks_mut(out, chunk, |i, o| {
+    let chunk = x.len().div_ceil(num_threads()).max(1);
+    // `move`: a by-reference `alpha` is re-read on every iteration (the
+    // compiler cannot prove it does not alias `o`), which stops the loop
+    // from vectorising.
+    par_chunks_if_large(x.len(), out, chunk, move |i, o| {
         let xs = &x[i * chunk..][..o.len()];
         for (o, &v) in o.iter_mut().zip(xs) {
             *o = if v > 0.0 { v } else { alpha * v };
@@ -37,32 +133,9 @@ pub fn leaky_relu_slice(x: &[f32], out: &mut [f32], alpha: f32) {
     });
 }
 
-/// In-place LeakyReLU: `x[i] = x[i] > 0 ? x[i] : alpha * x[i]`. Same
-/// kernel as [`leaky_relu_slice`] for callers that own the buffer (the
-/// planned executor's arena slots).
-pub fn leaky_relu_slice_inplace(x: &mut [f32], alpha: f32) {
-    let len = x.len();
-    if len < LEAKY_PAR_MIN || num_threads() <= 1 {
-        for v in x.iter_mut() {
-            if *v <= 0.0 {
-                *v *= alpha;
-            }
-        }
-        return;
-    }
-    let chunk = len.div_ceil(num_threads()).max(1);
-    par_chunks_mut(x, chunk, |_, o| {
-        for v in o.iter_mut() {
-            if *v <= 0.0 {
-                *v *= alpha;
-            }
-        }
-    });
-}
-
 /// LeakyReLU backward: `grad_in[i] = x[i] > 0 ? g[i] : alpha * g[i]`
-/// where `x` is the activation's *input*. Pool-partitioned like the
-/// forward kernel; any partition yields bit-identical results.
+/// where `x` is the activation's *input*. Partitioned like the forward
+/// kernel; any partition yields bit-identical results.
 pub fn leaky_relu_bwd_slice(grad_out: &[f32], x: &[f32], grad_in: &mut [f32], alpha: f32) {
     assert_eq!(
         grad_out.len(),
@@ -74,18 +147,10 @@ pub fn leaky_relu_bwd_slice(grad_out: &[f32], x: &[f32], grad_in: &mut [f32], al
         grad_in.len(),
         "leaky_relu_bwd_slice: length mismatch"
     );
-    let len = x.len();
-    if len < LEAKY_PAR_MIN || num_threads() <= 1 {
-        for ((gi, &g), &v) in grad_in.iter_mut().zip(grad_out).zip(x) {
-            *gi = if v > 0.0 { g } else { alpha * g };
-        }
-        return;
-    }
-    let chunk = len.div_ceil(num_threads()).max(1);
-    par_chunks_mut(grad_in, chunk, |i, gi| {
-        let base = i * chunk;
-        let gs = &grad_out[base..][..gi.len()];
-        let xs = &x[base..][..gi.len()];
+    let chunk = x.len().div_ceil(num_threads()).max(1);
+    par_chunks_if_large(x.len(), grad_in, chunk, move |i, gi| {
+        let gs = &grad_out[i * chunk..][..gi.len()];
+        let xs = &x[i * chunk..][..gi.len()];
         for ((gi, &g), &v) in gi.iter_mut().zip(gs).zip(xs) {
             *gi = if v > 0.0 { g } else { alpha * g };
         }
@@ -162,94 +227,67 @@ impl Tensor {
         Ok((s / n) as f32)
     }
 
+    /// `(N, C, spatial)` of an `[N, C, ...spatial]` tensor; rank-2
+    /// tensors have a spatial extent of one.
+    pub fn channel_geometry(&self, op: &'static str) -> Result<(usize, usize, usize)> {
+        let dims = self.dims();
+        if dims.len() < 2 {
+            return Err(TensorError::InvalidShape {
+                op,
+                reason: format!("need rank >= 2, got {}", self.shape()),
+            });
+        }
+        Ok((dims[0], dims[1], dims[2..].iter().product::<usize>().max(1)))
+    }
+
     /// Per-channel mean over batch and spatial dims.
     ///
     /// Input layout `[N, C, ...spatial]`; returns a `[C]` tensor. This is
     /// the reduction batch-norm uses.
     pub fn mean_per_channel(&self) -> Result<Tensor> {
-        let dims = self.dims();
-        if dims.len() < 2 {
-            return Err(TensorError::InvalidShape {
-                op: "mean_per_channel",
-                reason: format!("need rank >= 2, got {}", self.shape()),
-            });
-        }
-        let (n, c) = (dims[0], dims[1]);
-        let spatial: usize = dims[2..].iter().product::<usize>().max(1);
-        let mut acc = vec![0.0f64; c];
-        let data = self.as_slice();
-        for ni in 0..n {
-            for (ci, a) in acc.iter_mut().enumerate() {
-                let base = (ni * c + ci) * spatial;
-                let mut s = 0.0f64;
-                for &v in &data[base..base + spatial] {
-                    s += v as f64;
-                }
-                *a += s;
-            }
-        }
+        let (n, c, spatial) = self.channel_geometry("mean_per_channel")?;
+        let sums = channel_sums([self.as_slice()], (n, c, spatial), |_| {
+            |[v]: [f32; 1]| [v as f64]
+        });
         let denom = (n * spatial).max(1) as f64;
-        Tensor::from_vec([c], acc.into_iter().map(|x| (x / denom) as f32).collect())
+        Tensor::from_vec([c], sums.iter().map(|s| (s[0] / denom) as f32).collect())
     }
 
     /// Per-channel biased variance over batch and spatial dims, given the
     /// per-channel mean. Layout as in [`Tensor::mean_per_channel`].
     pub fn var_per_channel(&self, mean: &Tensor) -> Result<Tensor> {
-        let dims = self.dims();
-        if dims.len() < 2 {
-            return Err(TensorError::InvalidShape {
-                op: "var_per_channel",
-                reason: format!("need rank >= 2, got {}", self.shape()),
-            });
-        }
-        let (n, c) = (dims[0], dims[1]);
+        let (n, c, spatial) = self.channel_geometry("var_per_channel")?;
         if mean.dims() != [c] {
             return Err(TensorError::ShapeMismatch {
                 op: "var_per_channel",
-                lhs: dims.to_vec(),
+                lhs: self.dims().to_vec(),
                 rhs: mean.dims().to_vec(),
             });
         }
-        let spatial: usize = dims[2..].iter().product::<usize>().max(1);
-        let mut acc = vec![0.0f64; c];
-        let data = self.as_slice();
         let m = mean.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * spatial;
-                let mu = m[ci] as f64;
-                let mut s = 0.0f64;
-                for &v in &data[base..base + spatial] {
-                    let d = v as f64 - mu;
-                    s += d * d;
-                }
-                acc[ci] += s;
+        let sums = channel_sums([self.as_slice()], (n, c, spatial), |ci| {
+            let mu = m[ci] as f64;
+            move |[v]: [f32; 1]| {
+                let d = v as f64 - mu;
+                [d * d]
             }
-        }
+        });
         let denom = (n * spatial).max(1) as f64;
-        Tensor::from_vec([c], acc.into_iter().map(|x| (x / denom) as f32).collect())
+        Tensor::from_vec([c], sums.iter().map(|s| (s[0] / denom) as f32).collect())
     }
 
     /// Applies `x ↦ f(x, p[c])` per channel, where `p` is a `[C]` tensor and
-    /// `self` is `[N, C, ...spatial]`. Covers bias-add (`f = +`) and
-    /// batch-norm scale (`f = *`) without general broadcasting machinery.
+    /// `self` is `[N, C, ...spatial]`. Covers bias-add (`f = +`) without
+    /// general broadcasting machinery.
     pub fn apply_per_channel(&self, p: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
-        let dims = self.dims();
-        if dims.len() < 2 {
-            return Err(TensorError::InvalidShape {
-                op: "apply_per_channel",
-                reason: format!("need rank >= 2, got {}", self.shape()),
-            });
-        }
-        let (n, c) = (dims[0], dims[1]);
+        let (n, c, spatial) = self.channel_geometry("apply_per_channel")?;
         if p.dims() != [c] {
             return Err(TensorError::ShapeMismatch {
                 op: "apply_per_channel",
-                lhs: dims.to_vec(),
+                lhs: self.dims().to_vec(),
                 rhs: p.dims().to_vec(),
             });
         }
-        let spatial: usize = dims[2..].iter().product::<usize>().max(1);
         let mut out = self.clone();
         let ps = p.as_slice().to_vec();
         let o = out.as_mut_slice();
@@ -269,28 +307,11 @@ impl Tensor {
     /// [`Tensor::apply_per_channel`] (e.g. bias gradients are
     /// `sum_per_channel` of the output gradient with `g = identity`).
     pub fn sum_per_channel(&self) -> Result<Tensor> {
-        let dims = self.dims();
-        if dims.len() < 2 {
-            return Err(TensorError::InvalidShape {
-                op: "sum_per_channel",
-                reason: format!("need rank >= 2, got {}", self.shape()),
-            });
-        }
-        let (n, c) = (dims[0], dims[1]);
-        let spatial: usize = dims[2..].iter().product::<usize>().max(1);
-        let mut acc = vec![0.0f64; c];
-        let data = self.as_slice();
-        for ni in 0..n {
-            for (ci, a) in acc.iter_mut().enumerate() {
-                let base = (ni * c + ci) * spatial;
-                let mut s = 0.0f64;
-                for &v in &data[base..base + spatial] {
-                    s += v as f64;
-                }
-                *a += s;
-            }
-        }
-        Tensor::from_vec([c], acc.into_iter().map(|x| x as f32).collect())
+        let (n, c, spatial) = self.channel_geometry("sum_per_channel")?;
+        let sums = channel_sums([self.as_slice()], (n, c, spatial), |_| {
+            |[v]: [f32; 1]| [v as f64]
+        });
+        Tensor::from_vec([c], sums.iter().map(|s| s[0] as f32).collect())
     }
 }
 
@@ -374,12 +395,88 @@ mod tests {
         assert!(x.var_per_channel(&badp).is_err());
     }
 
+    /// The per-channel loop the plane-parallel kernel replaced, kept as
+    /// the serial reference: one f64 chain per `(n, c)` plane, folded per
+    /// channel in ascending `n`.
+    fn serial_channel_sums(x: &Tensor, term: impl Fn(usize, f32) -> f64) -> Vec<f64> {
+        let (n, c, spatial) = x.channel_geometry("test").unwrap();
+        let data = x.as_slice();
+        let mut acc = vec![0.0f64; c];
+        for ni in 0..n {
+            for (ci, a) in acc.iter_mut().enumerate() {
+                let base = (ni * c + ci) * spatial;
+                let mut s = 0.0f64;
+                for &v in &data[base..base + spatial] {
+                    s += term(ci, v);
+                }
+                *a += s;
+            }
+        }
+        acc
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn channel_reductions_match_serial_reference_at_any_worker_count() {
+        use crate::parallel::{set_num_threads, tests::lock_override};
+        use crate::rng::Rng;
+        let _guard = lock_override();
+        let mut rng = Rng::seed_from(21);
+        let shapes: [&[usize]; 5] = [
+            &[8, 6, 3, 40, 40],
+            &[8, 24, 40, 40],
+            &[3, 5, 7],
+            &[2, 3],
+            &[1, 4, 1, 1],
+        ];
+        for dims in shapes {
+            let x = Tensor::rand_normal(dims.to_vec(), 0.3, 2.0, &mut rng);
+            let (n, _, spatial) = x.channel_geometry("test").unwrap();
+            let denom = (n * spatial) as f64;
+            let sum: Vec<f32> = serial_channel_sums(&x, |_, v| v as f64)
+                .iter()
+                .map(|&s| s as f32)
+                .collect();
+            let mean: Vec<f32> = serial_channel_sums(&x, |_, v| v as f64)
+                .iter()
+                .map(|&s| (s / denom) as f32)
+                .collect();
+            let var: Vec<f32> = serial_channel_sums(&x, |ci, v| {
+                let d = v as f64 - mean[ci] as f64;
+                d * d
+            })
+            .iter()
+            .map(|&s| (s / denom) as f32)
+            .collect();
+            let want = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for workers in [1usize, 2, 4] {
+                set_num_threads(workers);
+                let m = x.mean_per_channel().unwrap();
+                assert_eq!(
+                    bits(&x.sum_per_channel().unwrap()),
+                    want(&sum),
+                    "sum {dims:?} at {workers}"
+                );
+                assert_eq!(bits(&m), want(&mean), "mean {dims:?} at {workers}");
+                assert_eq!(
+                    bits(&x.var_per_channel(&m).unwrap()),
+                    want(&var),
+                    "var {dims:?} at {workers}"
+                );
+            }
+        }
+        set_num_threads(0);
+    }
+
     #[test]
     fn leaky_relu_kernels_match_scalar_reference() {
         use crate::rng::Rng;
         let mut rng = Rng::seed_from(9);
-        // Straddle LEAKY_PAR_MIN so both the serial and partitioned paths run.
-        for len in [0usize, 7, 1000, LEAKY_PAR_MIN + 131] {
+        // Straddle PAR_MIN_LEN so both the serial and partitioned paths run.
+        for len in [0usize, 7, 1000, PAR_MIN_LEN + 131] {
             let x: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
             let g: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
             let alpha = 0.1f32;
@@ -396,10 +493,6 @@ mod tests {
             let mut out = vec![0.0f32; len];
             leaky_relu_slice(&x, &mut out, alpha);
             assert_eq!(out, want_f, "forward len={len}");
-
-            let mut inp = x.clone();
-            leaky_relu_slice_inplace(&mut inp, alpha);
-            assert_eq!(inp, want_f, "in-place len={len}");
 
             let mut gi = vec![0.0f32; len];
             leaky_relu_bwd_slice(&g, &x, &mut gi, alpha);

@@ -364,14 +364,14 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Serializes tests that override the global worker count. Poison is
     /// recovered so one failing test doesn't cascade into the others.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-    fn lock_override() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn lock_override() -> std::sync::MutexGuard<'static, ()> {
         OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 

@@ -22,6 +22,7 @@
 //!   which is safe, merely unfortunate.
 
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 thread_local! {
     /// LIFO free-list of reusable buffers for this thread.
@@ -39,69 +40,65 @@ thread_local! {
 /// absorb transient shapes without hoarding memory.
 const MAX_PARKED: usize = 8;
 
-/// Runs `f` with a scratch slice of exactly `len` elements, reusing a
-/// previously returned buffer when one exists (growing it if needed).
-///
-/// The slice contents are unspecified; `f` must overwrite every element
-/// it reads.
-pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = FREE
+/// Byte alignment of every checked-out slice: one cache line, and the
+/// width of an AVX-512 register. Without it the SIMD packing panels'
+/// alignment would depend on whatever the process allocated before the
+/// arena grew, and so would their speed.
+const ALIGN: usize = 64;
+
+/// Pops a buffer from `free`, grows it to hold `len` elements starting
+/// at an [`ALIGN`]-byte boundary, runs `f` on that slice and parks the
+/// buffer again.
+fn checkout<T: Copy + Default, R>(
+    free: &'static LocalKey<RefCell<Vec<Vec<T>>>>,
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let pad = ALIGN / std::mem::size_of::<T>() - 1;
+    let mut buf = free
         .with(|free| free.borrow_mut().pop())
         .unwrap_or_default();
-    if buf.len() < len {
+    if buf.len() < len + pad {
         // No telemetry counter here on purpose: growth depends on what ran
         // earlier in the process, and the telemetry layer guarantees that
         // non-timing metrics are deterministic per seed.
-        buf.resize(len, 0.0);
+        buf.resize(len + pad, T::default());
     }
-    let r = f(&mut buf[..len]);
-    FREE.with(|free| {
+    // `align_offset` may decline (usize::MAX); the slice then stays
+    // unaligned but in bounds.
+    let off = buf.as_ptr().align_offset(ALIGN).min(pad);
+    let r = f(&mut buf[off..off + len]);
+    free.with(|free| {
         let mut free = free.borrow_mut();
         if free.len() < MAX_PARKED {
             free.push(buf);
         }
     });
     r
+}
+
+/// Runs `f` with a scratch slice of exactly `len` elements, reusing a
+/// previously returned buffer when one exists (growing it if needed).
+/// The slice starts on a 64-byte boundary.
+///
+/// The slice contents are unspecified; `f` must overwrite every element
+/// it reads.
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    checkout(&FREE, len, f)
 }
 
 /// [`with_scratch`] for `i16` workspaces: the quantized GEMM checks out
 /// one panel per call for the dynamically quantized activations, so the
 /// int8 inference route is also allocation-free in steady state.
 pub fn with_scratch_i16<R>(len: usize, f: impl FnOnce(&mut [i16]) -> R) -> R {
-    let mut buf = FREE_I16
-        .with(|free| free.borrow_mut().pop())
-        .unwrap_or_default();
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    let r = f(&mut buf[..len]);
-    FREE_I16.with(|free| {
-        let mut free = free.borrow_mut();
-        if free.len() < MAX_PARKED {
-            free.push(buf);
-        }
-    });
-    r
+    checkout(&FREE_I16, len, f)
 }
 
 /// [`with_scratch`] for `i32` workspaces: the kd-decomposed quantized
 /// conv3d checks out one buffer per stage call for the regrouped weight
 /// code words, keeping that route allocation-free in steady state too.
 pub fn with_scratch_i32<R>(len: usize, f: impl FnOnce(&mut [i32]) -> R) -> R {
-    let mut buf = FREE_I32
-        .with(|free| free.borrow_mut().pop())
-        .unwrap_or_default();
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    let r = f(&mut buf[..len]);
-    FREE_I32.with(|free| {
-        let mut free = free.borrow_mut();
-        if free.len() < MAX_PARKED {
-            free.push(buf);
-        }
-    });
-    r
+    checkout(&FREE_I32, len, f)
 }
 
 #[cfg(test)]
@@ -152,6 +149,25 @@ mod tests {
                 assert_ne!(outer.as_ptr(), inner.as_ptr());
             });
             assert!(outer.iter().all(|&v| v == 1.0));
+        });
+    }
+
+    #[test]
+    fn checkouts_start_on_a_cache_line() {
+        for len in [1usize, 7, 100, 4096, 3] {
+            with_scratch(len, |s| {
+                assert_eq!(s.as_ptr() as usize % ALIGN, 0, "f32 len={len}")
+            });
+            with_scratch_i16(len, |s| {
+                assert_eq!(s.as_ptr() as usize % ALIGN, 0, "i16 len={len}")
+            });
+            with_scratch_i32(len, |s| {
+                assert_eq!(s.as_ptr() as usize % ALIGN, 0, "i32 len={len}")
+            });
+        }
+        with_scratch(64, |outer| {
+            with_scratch(64, |inner| assert_eq!(inner.as_ptr() as usize % ALIGN, 0));
+            assert_eq!(outer.as_ptr() as usize % ALIGN, 0);
         });
     }
 
